@@ -1,5 +1,8 @@
 #include "asterix/dataset.h"
 
+#include <cstring>
+#include <optional>
+
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
 
@@ -24,7 +27,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.merge_policy = options.merge_policy;
   lsm.storage_format = options.storage_format;
   lsm.scheduler = options.scheduler;
-  lsm.max_pending_immutables = options.max_pending_immutables;
   AX_ASSIGN_OR_RETURN(part->primary_, storage::LsmBTree::Open(lsm));
   for (const auto& ix : def.indexes) {
     switch (ix.kind) {
@@ -44,7 +46,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
         o.cache = options.cache;
         o.mem_budget_bytes = options.mem_budget_bytes;
         o.scheduler = options.scheduler;
-        o.max_pending_immutables = options.max_pending_immutables;
         AX_ASSIGN_OR_RETURN(auto tree, storage::LsmRTree::Open(o));
         part->rtree_indexes_[ix.name] = std::move(tree);
         break;
@@ -97,60 +98,81 @@ Status DatasetPartition::LogMutation(txn::LogRecordType type,
              : Status::IOError("WAL append failed for dataset " + def_.name);
 }
 
-Status DatasetPartition::AddToIndexes(const Value& record,
-                                      const std::string& pk_key) {
-  for (const auto& ix : def_.indexes) {
-    const Value& field = record.GetField(ix.field);
-    if (field.is_unknown()) continue;  // unindexed when absent
-    switch (ix.kind) {
-      case meta::IndexKind::kBTree: {
-        std::string key;
-        AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
-        key += pk_key;
-        AX_RETURN_NOT_OK(btree_indexes_.at(ix.name)->Put(key, ""));
-        break;
-      }
-      case meta::IndexKind::kRTree: {
-        if (!field.is_point() && !field.is_rectangle()) continue;
-        AX_RETURN_NOT_OK(rtree_indexes_.at(ix.name)->Insert(field.Mbr(), pk_key));
-        break;
-      }
-      case meta::IndexKind::kKeyword: {
-        if (!field.is_string()) continue;
-        AX_RETURN_NOT_OK(
-            keyword_indexes_.at(ix.name)->InsertText(field.AsString(), pk_key));
-        break;
-      }
+namespace {
+using IndexPart = std::optional<std::string>;
+
+// The bytes a secondary index of `kind` stores for `field`, or nullopt when
+// it stores nothing for it. Two fields with equal parts map to the same
+// index entry.
+Result<IndexPart> IndexedPart(meta::IndexKind kind, const Value& field) {
+  switch (kind) {
+    case meta::IndexKind::kBTree: {
+      if (field.is_unknown()) return IndexPart();
+      std::string key;
+      AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
+      return IndexPart(std::move(key));
     }
+    case meta::IndexKind::kRTree: {
+      if (!field.is_point() && !field.is_rectangle()) return IndexPart();
+      const adm::Rectangle mbr = field.Mbr();
+      return IndexPart(
+          std::string(reinterpret_cast<const char*>(&mbr), sizeof(mbr)));
+    }
+    case meta::IndexKind::kKeyword:
+      if (!field.is_string()) return IndexPart();
+      return IndexPart(field.AsString());
+  }
+  return IndexPart();
+}
+
+adm::Rectangle PartMbr(const std::string& part) {
+  adm::Rectangle mbr;
+  std::memcpy(&mbr, part.data(), sizeof(mbr));
+  return mbr;
+}
+}  // namespace
+
+Result<std::vector<DatasetPartition::IndexDelta>> DatasetPartition::IndexDeltas(
+    const Value* before, const Value* after, bool skip_unchanged) const {
+  static const Value kMissing = Value::Missing();
+  std::vector<IndexDelta> deltas;
+  for (const auto& ix : def_.indexes) {
+    AX_ASSIGN_OR_RETURN(
+        auto old_part,
+        IndexedPart(ix.kind, before ? before->GetField(ix.field) : kMissing));
+    AX_ASSIGN_OR_RETURN(
+        auto new_part,
+        IndexedPart(ix.kind, after ? after->GetField(ix.field) : kMissing));
+    if (skip_unchanged && old_part == new_part) continue;
+    deltas.push_back({&ix, std::move(old_part), std::move(new_part)});
+  }
+  return deltas;
+}
+
+Status DatasetPartition::AddIndexEntry(const meta::IndexDef& ix,
+                                       const std::string& part,
+                                       const std::string& pk_key) {
+  switch (ix.kind) {
+    case meta::IndexKind::kBTree:
+      return btree_indexes_.at(ix.name)->Put(part + pk_key, "");
+    case meta::IndexKind::kRTree:
+      return rtree_indexes_.at(ix.name)->Insert(PartMbr(part), pk_key);
+    case meta::IndexKind::kKeyword:
+      return keyword_indexes_.at(ix.name)->InsertText(part, pk_key);
   }
   return Status::OK();
 }
 
-Status DatasetPartition::RemoveFromIndexes(const Value& record,
-                                           const std::string& pk_key) {
-  for (const auto& ix : def_.indexes) {
-    const Value& field = record.GetField(ix.field);
-    if (field.is_unknown()) continue;
-    switch (ix.kind) {
-      case meta::IndexKind::kBTree: {
-        std::string key;
-        AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
-        key += pk_key;
-        AX_RETURN_NOT_OK(btree_indexes_.at(ix.name)->Delete(key));
-        break;
-      }
-      case meta::IndexKind::kRTree: {
-        if (!field.is_point() && !field.is_rectangle()) continue;
-        AX_RETURN_NOT_OK(rtree_indexes_.at(ix.name)->Remove(field.Mbr(), pk_key));
-        break;
-      }
-      case meta::IndexKind::kKeyword: {
-        if (!field.is_string()) continue;
-        AX_RETURN_NOT_OK(
-            keyword_indexes_.at(ix.name)->RemoveText(field.AsString(), pk_key));
-        break;
-      }
-    }
+Status DatasetPartition::RemoveIndexEntry(const meta::IndexDef& ix,
+                                          const std::string& part,
+                                          const std::string& pk_key) {
+  switch (ix.kind) {
+    case meta::IndexKind::kBTree:
+      return btree_indexes_.at(ix.name)->Delete(part + pk_key);
+    case meta::IndexKind::kRTree:
+      return rtree_indexes_.at(ix.name)->Remove(PartMbr(part), pk_key);
+    case meta::IndexKind::kKeyword:
+      return keyword_indexes_.at(ix.name)->RemoveText(part, pk_key);
   }
   return Status::OK();
 }
@@ -161,17 +183,31 @@ Status DatasetPartition::Upsert(const Value& record, bool log) {
   if (log) {
     AX_RETURN_NOT_OK(LogMutation(txn::LogRecordType::kUpsert, pk_key, &record));
   }
-  // Read the prior version to unhook its index entries.
+  // Read the prior version to unhook the index entries that change.
+  std::optional<Value> old_record;
   if (!def_.indexes.empty()) {
     std::string old_raw;
     AX_ASSIGN_OR_RETURN(bool existed, primary_->Get(pk_key, &old_raw));
     if (existed) {
-      AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
-      AX_RETURN_NOT_OK(RemoveFromIndexes(old_record, pk_key));
+      AX_ASSIGN_OR_RETURN(old_record, adm::Deserialize(old_raw));
     }
   }
+  // A live statement leaves an unchanged entry in place, so a concurrent
+  // lookup never misses a record that matches before and after. Replay and
+  // index backfill (log=false) rewrite every entry: the primary may hold a
+  // version that a secondary lost in the crash, or that a new index never
+  // saw, so `before` does not prove the entry exists.
+  AX_ASSIGN_OR_RETURN(
+      auto deltas, IndexDeltas(old_record ? &*old_record : nullptr, &record,
+                               /*skip_unchanged=*/log));
+  for (const auto& d : deltas) {
+    if (d.before) AX_RETURN_NOT_OK(RemoveIndexEntry(*d.ix, *d.before, pk_key));
+  }
   AX_RETURN_NOT_OK(primary_->Put(pk_key, adm::Serialize(record)));
-  return AddToIndexes(record, pk_key);
+  for (const auto& d : deltas) {
+    if (d.after) AX_RETURN_NOT_OK(AddIndexEntry(*d.ix, *d.after, pk_key));
+  }
+  return Status::OK();
 }
 
 Status DatasetPartition::Insert(const Value& record, bool log) {
@@ -194,7 +230,11 @@ Result<bool> DatasetPartition::DeleteByKey(const Value& pk, bool log) {
     AX_RETURN_NOT_OK(LogMutation(txn::LogRecordType::kDelete, pk_key, nullptr));
   }
   AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
-  AX_RETURN_NOT_OK(RemoveFromIndexes(old_record, pk_key));
+  AX_ASSIGN_OR_RETURN(auto deltas, IndexDeltas(&old_record, nullptr,
+                                                /*skip_unchanged=*/true));
+  for (const auto& d : deltas) {
+    if (d.before) AX_RETURN_NOT_OK(RemoveIndexEntry(*d.ix, *d.before, pk_key));
+  }
   AX_RETURN_NOT_OK(primary_->Delete(pk_key));
   return true;
 }

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,6 @@ struct PartitionOptions {
   /// partition (primary + secondaries). Null = inline maintenance. Owned
   /// by the Instance; must outlive the partition.
   storage::MaintenanceScheduler* scheduler = nullptr;
-  /// Per-tree backpressure bound (see LsmOptions::max_pending_immutables).
-  size_t max_pending_immutables = 2;
 };
 
 /// One partition of an internal dataset. Thread-safe per the underlying
@@ -89,8 +88,22 @@ class DatasetPartition {
       : def_(std::move(def)), options_(std::move(options)) {}
 
   Result<adm::Value> ExtractPk(const adm::Value& record) const;
-  Status AddToIndexes(const adm::Value& record, const std::string& pk_key);
-  Status RemoveFromIndexes(const adm::Value& record, const std::string& pk_key);
+  /// One secondary index's entry part (encoded key, MBR bytes or text;
+  /// nullopt = no entry) for a record before and after a mutation.
+  struct IndexDelta {
+    const meta::IndexDef* ix;
+    std::optional<std::string> before, after;
+  };
+  /// The index entries of a record changing from `before` to `after`
+  /// (null = absent). With `skip_unchanged`, indexes whose entry stays the
+  /// same are left out.
+  Result<std::vector<IndexDelta>> IndexDeltas(const adm::Value* before,
+                                              const adm::Value* after,
+                                              bool skip_unchanged) const;
+  Status AddIndexEntry(const meta::IndexDef& ix, const std::string& part,
+                       const std::string& pk_key);
+  Status RemoveIndexEntry(const meta::IndexDef& ix, const std::string& part,
+                          const std::string& pk_key);
   Status LogMutation(txn::LogRecordType type, const std::string& pk_key,
                      const adm::Value* record);
 

@@ -106,7 +106,6 @@ Status Instance::OpenDatasetPartitions(const meta::DatasetDef& def) {
     po.wal = wals_[p].get();
     po.partition_id = static_cast<uint32_t>(p);
     po.scheduler = maintenance_.get();
-    po.max_pending_immutables = options_.max_pending_immutables;
     po.storage_format = def.storage_format == "columnar"
                             ? storage::StorageFormat::kColumnar
                             : storage::StorageFormat::kRow;

@@ -38,9 +38,6 @@ struct InstanceOptions {
   /// LSM flushes and merges off the write path (paper §VII). 0 reverts to
   /// inline (synchronous) maintenance on the writing thread.
   size_t maintenance_threads = 2;
-  /// Backpressure bound: per tree, how many immutable memory components
-  /// may be pending flush before a write blocks (async maintenance only).
-  size_t max_pending_immutables = 2;
   algebricks::OptimizerOptions optimizer;
   /// Collect a per-operator PlanProfile for every query (see
   /// hyracks/profile.h). Zero cost when off; a few percent when on.

@@ -6,31 +6,25 @@
 // immutable memory components, then disk components newest-to-oldest; scans
 // merge all components, resolving each key to its newest version.
 //
-// Maintenance (component builds and merges) runs on a shared
-// MaintenanceScheduler when one is configured: writers only block on the
-// bounded-backpressure contract (too many immutable memory components
-// pending), never on disk I/O. Without a scheduler the tree falls back to
-// inline (synchronous) maintenance on the writing thread. See DESIGN.md §4f.
+// The component lifecycle (rotation, flush, merge policy, background
+// maintenance, backpressure, recovery) is the shared LsmLifecycle; this
+// file supplies the B+tree's memory component, disk components and reads.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "storage/bloom.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
 #include "storage/columnar.h"
+#include "storage/lsm_lifecycle.h"
 
 namespace asterix::storage {
-
-class MaintenanceScheduler;
 
 /// On-disk layout of flushed/merged components (paper §VII: columnar
 /// storage). Row components are B+trees (.cmp); columnar components are
@@ -38,19 +32,6 @@ class MaintenanceScheduler;
 /// reads and merges dispatch per component, and merges converge the stack
 /// to the configured format.
 enum class StorageFormat : uint8_t { kRow, kColumnar };
-
-/// Which components a merge combines (paper: "merge policies").
-enum class MergePolicyKind {
-  kNoMerge,    // never merge (read amplification grows unbounded)
-  kConstant,   // merge everything once there are > max_components components
-  kPrefix,     // merge the newest run whose total size fits max_merged_bytes
-};
-
-struct MergePolicy {
-  MergePolicyKind kind = MergePolicyKind::kConstant;
-  int max_components = 5;                      // kConstant
-  size_t max_merged_bytes = 64u << 20;         // kPrefix
-};
 
 /// Configuration for an LSM tree instance.
 struct LsmOptions {
@@ -102,31 +83,25 @@ class LsmBTree {
   /// the configured name prefix are recovered in sequence order. A
   /// component whose Bloom file is missing is an incomplete flush (the
   /// Bloom file is the flush commit point) — its data file is removed and
-  /// the rows are recovered from the WAL by the caller's replay.
+  /// the rows are recovered from the WAL by the caller's replay. Destroying
+  /// the tree waits for its in-flight background maintenance; unflushed
+  /// memory components are dropped (WAL replay recovers them).
   static Result<std::unique_ptr<LsmBTree>> Open(const LsmOptions& options);
-  /// Waits for in-flight background maintenance on this tree to finish.
-  /// Unflushed memory components are dropped: WAL truncation only happens
-  /// after an explicit checkpoint flush, so replay recovers them.
-  ~LsmBTree();
 
   /// Insert or overwrite.
-  Status Put(const std::string& key, const std::string& value)
-      AX_EXCLUDES(mu_);
+  Status Put(const std::string& key, const std::string& value);
   /// Delete via antimatter.
-  Status Delete(const std::string& key) AX_EXCLUDES(mu_);
+  Status Delete(const std::string& key);
   /// Point lookup (Bloom filters skip non-containing components).
-  Result<bool> Get(const std::string& key, std::string* value) const
-      AX_EXCLUDES(mu_);
+  Result<bool> Get(const std::string& key, std::string* value) const;
 
   /// Force all memory components to disk (no-op when empty). Synchronous:
   /// returns once every pending immutable component is flushed.
-  Status Flush() AX_EXCLUDES(mu_);
-  /// Apply the configured merge policy once; returns whether a merge ran.
-  Result<bool> MaybeMerge() AX_EXCLUDES(mu_);
+  Status Flush() { return life_.Flush(); }
   /// Merge every disk component into one (full merge). Synchronous.
-  Status ForceFullMerge() AX_EXCLUDES(mu_);
+  Status ForceFullMerge() { return life_.ForceFullMerge(); }
 
-  LsmStats stats() const AX_EXCLUDES(mu_);
+  LsmStats stats() const;
 
   /// Snapshot iterator over the merged view (newest version per key,
   /// antimatter suppressed). The snapshot is stable: flushes/merges after
@@ -144,9 +119,11 @@ class LsmBTree {
     friend class LsmBTree;
     struct Source;
     explicit Iterator(std::vector<std::unique_ptr<Source>> sources);
-    Status Advance(bool first);
+    Status Advance();
     std::vector<std::unique_ptr<Source>> sources_;
+    bool keep_antimatter_ = false;  // merges: yield deleted keys too
     bool valid_ = false;
+    bool antimatter_ = false;
     std::string key_, value_;
 
    public:
@@ -155,7 +132,7 @@ class LsmBTree {
     ~Iterator();
   };
 
-  Result<Iterator> NewIterator() const AX_EXCLUDES(mu_);
+  Result<Iterator> NewIterator() const;
 
   /// One fully materialized LSM row (used by scan snapshots and the
   /// component writers' buffered input).
@@ -179,112 +156,50 @@ class LsmBTree {
     std::vector<SnapshotEntry> mem;       // sorted by key
     std::vector<ComponentRef> components; // newest first
   };
-  ScanSnapshot GetScanSnapshot() const AX_EXCLUDES(mu_);
+  ScanSnapshot GetScanSnapshot() const;
 
  private:
-  struct DiskComponent {
-    uint64_t seq_lo = 0, seq_hi = 0;
-    std::unique_ptr<BTree> tree;          // row component
-    std::unique_ptr<ColumnarReader> col;  // columnar component
-    BloomFilter bloom;
-    std::string data_path, bloom_path;
-    uint64_t bytes = 0;  // on-disk size of the data file
-    bool obsolete = false;  // files removed on destruction
-    bool columnar() const { return col != nullptr; }
-    uint64_t entries() const {
-      return columnar() ? col->row_count() : tree->entry_count();
-    }
-    ~DiskComponent();
-  };
-  // Disk components are reference counted: readers (gets, iterators, scan
-  // snapshots, in-flight merges) hold shared_ptrs, so a merge that retires
-  // a component only marks it obsolete — its files are unlinked when the
-  // last pin drops (~DiskComponent).
-  using ComponentPtr = std::shared_ptr<DiskComponent>;
-
+  // ---- LsmLifecycle hooks -------------------------------------------------
+  friend class LsmLifecycle<LsmBTree>;
   struct MemEntry {
     bool antimatter = false;
     std::string value;
   };
-
-  /// An immutable (rotated-out) memory component awaiting flush. The map
-  /// is frozen at rotation, so readers may probe it without holding mu_
-  /// once they hold the shared_ptr.
-  struct MemComponent {
-    uint64_t seq = 0;  // component sequence number assigned at rotation
-    size_t bytes = 0;
-    size_t entries = 0;
-    std::map<std::string, MemEntry> rows;
+  using Mem = std::map<std::string, MemEntry>;
+  struct Payload {
+    std::unique_ptr<BTree> tree;          // row component
+    std::unique_ptr<ColumnarReader> col;  // columnar component
+    BloomFilter bloom;
+    uint64_t bytes = 0;  // on-disk size of the data file
+    bool columnar() const { return col != nullptr; }
+    uint64_t entries() const {
+      return columnar() ? col->row_count() : tree->entry_count();
+    }
   };
-  using MemPtr = std::shared_ptr<const MemComponent>;
+  // Row B+tree or columnar data file; the Bloom file is the commit point.
+  static constexpr const char* kDataExts[] = {".cmp", ".col"};
+  static constexpr const char* kCommitExt = ".bloom";
+  using Life = LsmLifecycle<LsmBTree>;
+  using ComponentPtr = Life::ComponentPtr;
 
-  explicit LsmBTree(LsmOptions options) : options_(std::move(options)) {}
+  Result<Payload> BuildFlush(const std::string& base, const Mem& frozen,
+                             bool nothing_older) const;
+  Result<Payload> BuildMerge(const std::string& base,
+                             const std::vector<ComponentPtr>& victims,
+                             bool includes_oldest) const;
+  Result<Payload> OpenComponent(const std::string& base,
+                                const std::string& ext) const;
+  static const LsmCounters& Counters();
 
-  /// Freeze the mutable memory component into immutables_ (no-op if empty).
-  void RotateMemLocked() AX_REQUIRES(mu_);
-  /// Post-write budget handling: rotate + schedule (async) or rotate +
-  /// drain + merge inline (sync). `lock` owns mu_ on entry and exit.
-  Status HandleBudgetLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Backpressure: wait until fewer than max_pending_immutables immutable
-  /// components are pending (records storage.lsm.write_stall_* metrics).
-  Status WaitForRoomLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Flush the oldest immutable component: claims the per-tree flush slot,
-  /// releases mu_ for the component build, reacquires it to install.
-  Status FlushOldestLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Barrier: flush every pending immutable component.
-  Status DrainImmutablesLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Victim-run length the merge policy wants merged (0/1 = nothing).
-  size_t PickMergeRunLocked() const AX_REQUIRES(mu_);
-  /// Merge the newest `run` disk components: claims the per-tree merge
-  /// slot, releases mu_ for the merged-component build, reacquires it to
-  /// splice the component list. Returns immediately if a merge is active.
-  Status MergeRunLocked(std::unique_lock<std::mutex>& lock, size_t run)
-      AX_REQUIRES(mu_);
-  Result<bool> ApplyMergePolicyLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  void ScheduleFlushLocked() AX_REQUIRES(mu_);
-  void ScheduleMergeLocked() AX_REQUIRES(mu_);
-  void BackgroundFlush() AX_EXCLUDES(mu_);
-  void BackgroundMerge() AX_EXCLUDES(mu_);
+  explicit LsmBTree(LsmOptions options);
+  /// Write `rows` (sorted) as a component in the configured format,
+  /// falling back to a row component when a value is not
+  /// columnar-representable; the Bloom file goes last.
+  Result<Payload> WriteComponent(const std::string& base,
+                                 const std::vector<SnapshotEntry>& rows) const;
 
-  /// Write `rows` (sorted, already antimatter-filtered as the caller needs)
-  /// as a new disk component in the configured format, falling back to a
-  /// row component when a value is not columnar-representable. Requires no
-  /// lock: reads only immutable options.
-  Result<ComponentPtr> BuildDiskComponent(
-      const std::vector<SnapshotEntry>& rows, uint64_t seq_lo,
-      uint64_t seq_hi) const;
-  /// Merge victim components into one sorted row stream (no lock: victims
-  /// are pinned by shared_ptr and immutable).
-  Result<std::vector<SnapshotEntry>> BuildMergedRows(
-      const std::vector<ComponentPtr>& victims, bool includes_oldest) const;
-
-  LsmOptions options_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable maint_cv_;  // flush/merge slots, drain,
-                                              // backpressure
-  std::map<std::string, MemEntry> mem_ AX_GUARDED_BY(mu_);
-  size_t mem_bytes_ AX_GUARDED_BY(mu_) = 0;
-  std::vector<MemPtr> immutables_ AX_GUARDED_BY(mu_);  // newest first
-  std::vector<ComponentPtr> components_ AX_GUARDED_BY(mu_);  // newest first
-  uint64_t next_seq_ AX_GUARDED_BY(mu_) = 1;
-  uint64_t flushes_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t merges_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t write_stalls_ AX_GUARDED_BY(mu_) = 0;
-  bool flush_active_ AX_GUARDED_BY(mu_) = false;   // a thread owns the
-                                                   // flush slot
-  bool flush_queued_ AX_GUARDED_BY(mu_) = false;   // background flush task
-                                                   // submitted
-  bool merge_active_ AX_GUARDED_BY(mu_) = false;
-  bool merge_queued_ AX_GUARDED_BY(mu_) = false;
-  bool closing_ AX_GUARDED_BY(mu_) = false;
-  int tasks_inflight_ AX_GUARDED_BY(mu_) = 0;      // scheduler tasks not
-                                                   // yet finished
-  Status maint_error_ AX_GUARDED_BY(mu_);  // sticky background failure
+  const LsmOptions options_;
+  Life life_;  // declared last: destroyed first, after maintenance drains
 };
 
 /// Row-component entry codec, shared with external scan sources that read

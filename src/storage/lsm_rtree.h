@@ -4,27 +4,25 @@
 // is live iff no newer component's deleted-key set contains it. This is the
 // "change in how deletions were handled for LSM" the paper mentions.
 //
-// Like LsmBTree, maintenance runs on a shared MaintenanceScheduler when one
-// is configured: the memory component rotates to an immutable component at
-// budget and flush/merge builds run off-thread (see DESIGN.md §4f).
+// The component lifecycle (rotation, flush, merge policy, background
+// maintenance, backpressure, recovery) is the shared LsmLifecycle, the
+// same one LsmBTree uses; this file supplies the R-tree's memory component,
+// disk components and queries. Merges follow the constant policy (merge
+// everything past five components).
 #pragma once
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
+#include "storage/lsm_lifecycle.h"
 #include "storage/rtree.h"
 
 namespace asterix::storage {
-
-class MaintenanceScheduler;
 
 struct LsmRTreeOptions {
   std::string dir;
@@ -32,13 +30,9 @@ struct LsmRTreeOptions {
   BufferCache* cache = nullptr;
   size_t mem_budget_bytes = 1u << 20;
   bool point_mode = true;   // the paper's point-storage optimization
-  int max_components = 5;   // constant merge policy
-  bool auto_flush = true;
   /// Background maintenance pool (null = inline maintenance). Must outlive
   /// the tree. Same contract as LsmOptions::scheduler.
   MaintenanceScheduler* scheduler = nullptr;
-  /// Backpressure bound on pending immutable memory components.
-  size_t max_pending_immutables = 2;
 };
 
 struct LsmRTreeStats {
@@ -56,94 +50,62 @@ struct LsmRTreeStats {
 /// (encoded primary keys). Thread-safe.
 class LsmRTree {
  public:
+  /// Open (or create) the tree, recovering its components. An .rt file
+  /// without its .del (the commit point) is a torn flush and is dropped;
+  /// the caller's WAL replay re-ingests its rows. Destroying the tree waits
+  /// for its in-flight background maintenance.
   static Result<std::unique_ptr<LsmRTree>> Open(const LsmRTreeOptions& options);
-  /// Waits for in-flight background maintenance on this tree.
-  ~LsmRTree();
 
-  Status Insert(const adm::Rectangle& mbr, const std::string& payload)
-      AX_EXCLUDES(mu_);
+  Status Insert(const adm::Rectangle& mbr, const std::string& payload);
   /// Record deletion of a previously inserted (mbr, payload) entry.
-  Status Remove(const adm::Rectangle& mbr, const std::string& payload)
-      AX_EXCLUDES(mu_);
+  Status Remove(const adm::Rectangle& mbr, const std::string& payload);
 
   /// All live entries whose MBR intersects `query`.
-  Result<std::vector<SpatialEntry>> Query(const adm::Rectangle& query) const
-      AX_EXCLUDES(mu_);
+  Result<std::vector<SpatialEntry>> Query(const adm::Rectangle& query) const;
 
   /// Synchronous barrier: all memory components flushed to disk.
-  Status Flush() AX_EXCLUDES(mu_);
-  Status ForceFullMerge() AX_EXCLUDES(mu_);
-  LsmRTreeStats stats() const AX_EXCLUDES(mu_);
+  Status Flush() { return life_.Flush(); }
+  Status ForceFullMerge() { return life_.ForceFullMerge(); }
+  LsmRTreeStats stats() const;
 
  private:
-  struct DiskComponent {
-    uint64_t seq_lo = 0, seq_hi = 0;
-    std::unique_ptr<RTree> rtree;
-    std::unique_ptr<BTree> deleted;  // deleted-key B+tree
-    std::string rtree_path, deleted_path;
-    bool obsolete = false;
-    ~DiskComponent();
-  };
-  // Reference counted like LsmBTree's components: queries pin the stack
-  // they opened against; a merge marks victims obsolete and their files
-  // are unlinked when the last pin drops.
-  using ComponentPtr = std::shared_ptr<DiskComponent>;
-
-  /// A rotated-out, frozen memory component awaiting flush.
-  struct MemComponent {
-    uint64_t seq = 0;
-    size_t bytes = 0;
+  // ---- LsmLifecycle hooks -------------------------------------------------
+  friend class LsmLifecycle<LsmRTree>;
+  struct Mem {
     std::vector<SpatialEntry> inserts;
-    std::set<std::string> deleted;
+    std::set<std::string> deleted;  // DeleteKey()s
+    bool empty() const { return inserts.empty() && deleted.empty(); }
   };
-  using MemPtr = std::shared_ptr<const MemComponent>;
+  /// An immutable R-tree of inserted entries plus a B+tree of deleted keys.
+  struct Payload {
+    std::unique_ptr<RTree> rtree;
+    std::unique_ptr<BTree> deleted;
+    uint64_t bytes = 0;
+  };
+  // The deleted-key tree is written last: it is the commit point.
+  static constexpr const char* kDataExts[] = {".rt"};
+  static constexpr const char* kCommitExt = ".del";
+  using Life = LsmLifecycle<LsmRTree>;
+  using ComponentPtr = Life::ComponentPtr;
 
-  explicit LsmRTree(LsmRTreeOptions options) : options_(std::move(options)) {}
-  void RotateMemLocked() AX_REQUIRES(mu_);
-  Status HandleBudgetLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  Status WaitForRoomLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  Status FlushOldestLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  Status DrainImmutablesLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Full merge of the current disk stack (claims the merge slot, builds
-  /// with mu_ released, splices under mu_). No-op below 2 components or
-  /// when a merge is already active.
-  Status MergeAllLocked(std::unique_lock<std::mutex>& lock) AX_REQUIRES(mu_);
-  void ScheduleFlushLocked() AX_REQUIRES(mu_);
-  void ScheduleMergeLocked() AX_REQUIRES(mu_);
-  void BackgroundFlush() AX_EXCLUDES(mu_);
-  void BackgroundMerge() AX_EXCLUDES(mu_);
-  /// Build a disk component from a frozen memory component (no lock).
-  Result<ComponentPtr> BuildFlushComponent(const MemComponent& mem,
-                                           bool write_deletes) const;
-  /// Collect the live entries of `victims` and build the merged component
-  /// (no lock: victims are pinned and immutable).
-  Result<ComponentPtr> BuildMergedComponent(
-      const std::vector<ComponentPtr>& victims) const;
+  Result<Payload> BuildFlush(const std::string& base, const Mem& frozen,
+                             bool nothing_older) const;
+  Result<Payload> BuildMerge(const std::string& base,
+                             const std::vector<ComponentPtr>& victims,
+                             bool includes_oldest) const;
+  Result<Payload> OpenComponent(const std::string& base,
+                                const std::string& ext) const;
+  static const LsmCounters& Counters();
+
+  explicit LsmRTree(LsmRTreeOptions options);
+  Result<Payload> WriteComponent(const std::string& base,
+                                 const std::vector<SpatialEntry>& entries,
+                                 const std::set<std::string>& deleted) const;
   static std::string DeleteKey(const adm::Rectangle& mbr,
                                const std::string& payload);
 
-  LsmRTreeOptions options_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable maint_cv_;
-  std::vector<SpatialEntry> mem_inserts_ AX_GUARDED_BY(mu_);
-  std::set<std::string> mem_deleted_ AX_GUARDED_BY(mu_);
-  size_t mem_bytes_ AX_GUARDED_BY(mu_) = 0;
-  std::vector<MemPtr> immutables_ AX_GUARDED_BY(mu_);  // newest first
-  std::vector<ComponentPtr> components_ AX_GUARDED_BY(mu_);  // newest first
-  uint64_t next_seq_ AX_GUARDED_BY(mu_) = 1;
-  uint64_t flushes_ AX_GUARDED_BY(mu_) = 0, merges_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t write_stalls_ AX_GUARDED_BY(mu_) = 0;
-  bool flush_active_ AX_GUARDED_BY(mu_) = false;
-  bool flush_queued_ AX_GUARDED_BY(mu_) = false;
-  bool merge_active_ AX_GUARDED_BY(mu_) = false;
-  bool merge_queued_ AX_GUARDED_BY(mu_) = false;
-  bool closing_ AX_GUARDED_BY(mu_) = false;
-  int tasks_inflight_ AX_GUARDED_BY(mu_) = 0;
-  Status maint_error_ AX_GUARDED_BY(mu_);
+  const LsmRTreeOptions options_;
+  Life life_;  // declared last: destroyed first, after maintenance drains
 };
 
 }  // namespace asterix::storage

@@ -151,5 +151,31 @@ TEST_F(ConcurrencyTest, GetSeesLatestCommittedWrite) {
   t2.join();
 }
 
+TEST_F(ConcurrencyTest, SecondaryLookupSeesRecordAcrossUnchangedUpserts) {
+  // An UPSERT that keeps the indexed field leaves the record's secondary
+  // entry in place: a lookup on that field finds the record every time,
+  // never in a window between removing and re-adding the entry.
+  for (int id = 0; id < 50; id++) {
+    ASSERT_TRUE(instance_->UpsertValue("D", Rec(id, id == 1 ? 7 : 8)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    while (!stop.load()) {
+      if (!instance_->UpsertValue("D", Rec(1, 7)).ok()) failed = true;
+    }
+  });
+  int misses = 0;
+  for (int q = 0; q < 500; q++) {
+    auto r = instance_->Execute("SELECT VALUE d.id FROM D d WHERE d.v = 7");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->rows.size() != 1) misses++;
+  }
+  stop = true;
+  writer.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_EQ(misses, 0);
+}
+
 }  // namespace
 }  // namespace asterix

@@ -6,6 +6,7 @@
 
 #include "adm/key_encoder.h"
 #include "storage/lsm_btree.h"
+#include "storage/maintenance.h"
 
 namespace asterix::storage {
 namespace {
@@ -254,6 +255,45 @@ TEST_F(LsmTest, ReopenRecoversDiskComponents) {
   EXPECT_EQ(count, 200);
 }
 
+TEST_F(LsmTest, ReopenDropsLeftoverMergeVictims) {
+  {
+    auto tree = LsmBTree::Open(Options()).value();
+    ASSERT_TRUE(tree->Put(IntKey(1), "one").ok());
+    ASSERT_TRUE(tree->Put(IntKey(2), "two").ok());
+    ASSERT_TRUE(tree->Flush().ok());
+    ASSERT_TRUE(tree->Delete(IntKey(1)).ok());
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+  // Keep copies of the two flushed components, merge them, then put the
+  // copies back: a crash after the merge committed but before its victims
+  // were unlinked leaves exactly this directory.
+  const std::string saved = dir_ + "_saved";
+  std::filesystem::remove_all(saved);
+  std::filesystem::copy(dir_, saved);
+  {
+    auto tree = LsmBTree::Open(Options()).value();
+    ASSERT_TRUE(tree->ForceFullMerge().ok());
+    EXPECT_EQ(tree->stats().disk_components, 1u);
+  }
+  std::filesystem::copy(saved, dir_,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::skip_existing);
+  std::filesystem::remove_all(saved);
+
+  auto tree = LsmBTree::Open(Options()).value();
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+  size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    (void)e;
+    files++;
+  }
+  EXPECT_EQ(files, 2u);  // the merged component's data and Bloom files
+  std::string v;
+  EXPECT_FALSE(tree->Get(IntKey(1), &v).value());
+  EXPECT_TRUE(tree->Get(IntKey(2), &v).value());
+  EXPECT_EQ(v, "two");
+}
+
 TEST_F(LsmTest, SeekWithinMergedView) {
   auto tree = LsmBTree::Open(Options()).value();
   for (int i = 0; i < 100; i += 2) ASSERT_TRUE(tree->Put(IntKey(i), "even").ok());
@@ -275,10 +315,22 @@ TEST_F(LsmTest, SeekWithinMergedView) {
 struct PolicyParam {
   MergePolicyKind kind;
   const char* name;
+  bool background = false;  // maintenance on a MaintenanceScheduler
 };
 
 class LsmPolicySweep : public LsmTest,
-                       public ::testing::WithParamInterface<PolicyParam> {};
+                       public ::testing::WithParamInterface<PolicyParam> {
+ protected:
+  LsmOptions Options(size_t mem_budget) {
+    LsmOptions o = LsmTest::Options(mem_budget);
+    if (GetParam().background) {
+      scheduler_ = std::make_unique<MaintenanceScheduler>(2);
+      o.scheduler = scheduler_.get();
+    }
+    return o;
+  }
+  std::unique_ptr<MaintenanceScheduler> scheduler_;  // outlives the tree
+};
 
 TEST_P(LsmPolicySweep, SameContentsUnderAnyPolicy) {
   auto opts = Options(1 << 11);
@@ -322,9 +374,13 @@ TEST_P(LsmPolicySweep, SameContentsUnderAnyPolicy) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, LsmPolicySweep,
-    ::testing::Values(PolicyParam{MergePolicyKind::kNoMerge, "none"},
-                      PolicyParam{MergePolicyKind::kConstant, "constant"},
-                      PolicyParam{MergePolicyKind::kPrefix, "prefix"}),
+    ::testing::Values(
+        PolicyParam{MergePolicyKind::kNoMerge, "none_inline"},
+        PolicyParam{MergePolicyKind::kNoMerge, "none_background", true},
+        PolicyParam{MergePolicyKind::kConstant, "constant_inline"},
+        PolicyParam{MergePolicyKind::kConstant, "constant_background", true},
+        PolicyParam{MergePolicyKind::kPrefix, "prefix_inline"},
+        PolicyParam{MergePolicyKind::kPrefix, "prefix_background", true}),
     [](const ::testing::TestParamInfo<PolicyParam>& info) {
       return info.param.name;
     });

@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <set>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/lsm_rtree.h"
+#include "storage/maintenance.h"
 #include "storage/spatial_curve.h"
 #include "storage/spatial_index.h"
 
@@ -153,11 +155,89 @@ TEST_F(SpatialIndexTest, LsmRTreeDeleteInMemoryAnnihilates) {
   EXPECT_TRUE(tree->Query({{0, 0}, {10, 10}}).value().empty());
 }
 
+TEST_F(SpatialIndexTest, LsmRTreeRemovesAloneTriggerFlush) {
+  LsmRTreeOptions o;
+  o.dir = dir_;
+  o.name = "rt";
+  o.cache = cache_.get();
+  auto tree = LsmRTree::Open(o).value();
+  // Entries already on disk, so every remove must record a delete.
+  for (int i = 0; i < 4000; i++) {
+    adm::Point p{double(i % 100), double(i / 100)};
+    ASSERT_TRUE(tree->Insert({p, p}, "pk" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(tree->Flush().ok());
+  tree.reset();
+  o.mem_budget_bytes = 1 << 12;
+  tree = LsmRTree::Open(o).value();
+  for (int i = 0; i < 4000; i++) {
+    adm::Point p{double(i % 100), double(i / 100)};
+    ASSERT_TRUE(tree->Remove({p, p}, "pk" + std::to_string(i)).ok());
+  }
+  // The deletes alone exceed the 4 KiB budget many times over.
+  EXPECT_GT(tree->stats().flushes, 0u);
+  EXPECT_TRUE(tree->Query({{0, 0}, {100, 100}}).value().empty());
+}
+
+TEST_F(SpatialIndexTest, LsmRTreeDropsTornFlushOnReopen) {
+  LsmRTreeOptions o;
+  o.dir = dir_;
+  o.name = "rt";
+  o.cache = cache_.get();
+  auto tree = LsmRTree::Open(o).value();
+  adm::Point a{1, 1}, b{2, 2};
+  ASSERT_TRUE(tree->Insert({a, a}, "complete").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->Insert({b, b}, "torn").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  tree.reset();
+  // The newest component loses its commit point (.del), as if the process
+  // died between writing its .rt and its .del.
+  std::string torn_rt;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    const std::string path = e.path().string();
+    if (path.ends_with("_0000000002_0000000002.rt")) torn_rt = path;
+  }
+  ASSERT_FALSE(torn_rt.empty());
+  std::string torn_del = torn_rt.substr(0, torn_rt.size() - 3) + ".del";
+  ASSERT_TRUE(std::filesystem::remove(torn_del));
+
+  auto* dropped = metrics::Registry::Global().GetCounter(
+      "storage.lsm.incomplete_components_dropped");
+  const uint64_t before = dropped->value();
+  tree = LsmRTree::Open(o).value();
+  EXPECT_EQ(dropped->value(), before + 1);
+  EXPECT_FALSE(std::filesystem::exists(torn_rt));
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+  auto hits = tree->Query({{0, 0}, {10, 10}}).value();
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].payload, "complete");
+}
+
 // All four spatial index kinds agree with brute force — the precondition
-// for the paper's apples-to-apples comparison.
+// for the paper's apples-to-apples comparison — with inline maintenance and
+// with a background MaintenanceScheduler.
+struct SweepParam {
+  SpatialIndexKind kind;
+  bool background;
+  // The test bodies read the parameter as the index kind.
+  operator SpatialIndexKind() const { return kind; }
+};
+
 class SpatialIndexKindSweep
     : public SpatialIndexTest,
-      public ::testing::WithParamInterface<SpatialIndexKind> {};
+      public ::testing::WithParamInterface<SweepParam> {
+ protected:
+  SpatialIndexOptions Options(SpatialIndexKind kind, const std::string& name) {
+    SpatialIndexOptions o = SpatialIndexTest::Options(kind, name);
+    if (GetParam().background) {
+      scheduler_ = std::make_unique<MaintenanceScheduler>(2);
+      o.scheduler = scheduler_.get();
+    }
+    return o;
+  }
+  std::unique_ptr<MaintenanceScheduler> scheduler_;  // outlives the index
+};
 
 TEST_P(SpatialIndexKindSweep, MatchesBruteForceWithDeletes) {
   auto idx = SpatialIndex::Create(
@@ -210,12 +290,18 @@ TEST_P(SpatialIndexKindSweep, SurvivesMergeAndReopenlessRestartState) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, SpatialIndexKindSweep,
-    ::testing::Values(SpatialIndexKind::kRTree, SpatialIndexKind::kHilbertBTree,
-                      SpatialIndexKind::kZOrderBTree, SpatialIndexKind::kGrid),
-    [](const ::testing::TestParamInfo<SpatialIndexKind>& info) {
-      std::string name = SpatialIndexKindName(info.param);
+    ::testing::Values(SweepParam{SpatialIndexKind::kRTree, false},
+                      SweepParam{SpatialIndexKind::kRTree, true},
+                      SweepParam{SpatialIndexKind::kHilbertBTree, false},
+                      SweepParam{SpatialIndexKind::kHilbertBTree, true},
+                      SweepParam{SpatialIndexKind::kZOrderBTree, false},
+                      SweepParam{SpatialIndexKind::kZOrderBTree, true},
+                      SweepParam{SpatialIndexKind::kGrid, false},
+                      SweepParam{SpatialIndexKind::kGrid, true}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      std::string name = SpatialIndexKindName(info.param.kind);
       std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+      return name + (info.param.background ? "_background" : "_inline");
     });
 
 }  // namespace
