@@ -39,9 +39,4 @@ Result<Value> DecodeKeyPart(const std::string& data, size_t* pos);
 /// Decode all parts of a composite key.
 Result<std::vector<Value>> DecodeKey(const std::string& data);
 
-/// Smallest possible key ("" — less than every encoded key).
-inline std::string MinKey() { return std::string(); }
-/// A key greater than every encoded key.
-inline std::string MaxKey() { return std::string(1, '\xff'); }
-
 }  // namespace asterix::adm

@@ -255,8 +255,9 @@ Result<bool> DatasetPartition::GetByEncodedPk(const std::string& pk_key,
   return true;
 }
 
-Result<storage::LsmBTree::Iterator> DatasetPartition::ScanIterator() const {
-  return primary_->NewIterator();
+Result<storage::LsmBTree::Iterator> DatasetPartition::ScanIterator(
+    std::string lo, std::optional<std::string> hi) const {
+  return primary_->NewIterator(std::move(lo), std::move(hi));
 }
 
 Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
@@ -265,22 +266,19 @@ Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
   if (it_tree == btree_indexes_.end()) {
     return Status::NotFound("no B+tree index '" + index_name + "'");
   }
-  std::string lo_key = adm::MinKey();
-  if (!lo.is_unknown()) {
-    lo_key.clear();
-    AX_RETURN_NOT_OK(adm::EncodeKeyPart(lo, &lo_key));
-  }
-  std::string hi_bound;
-  if (hi.is_unknown()) {
-    hi_bound = adm::MaxKey();
-  } else {
-    AX_RETURN_NOT_OK(adm::EncodeKeyPart(hi, &hi_bound));
-    hi_bound += '\xff';  // include every (hi, pk) composite
+  std::string lo_key;
+  if (!lo.is_unknown()) AX_RETURN_NOT_OK(adm::EncodeKeyPart(lo, &lo_key));
+  std::optional<std::string> hi_bound;
+  if (!hi.is_unknown()) {
+    hi_bound.emplace();
+    AX_RETURN_NOT_OK(adm::EncodeKeyPart(hi, &*hi_bound));
+    *hi_bound += '\xff';  // include every (hi, pk) composite
   }
   std::vector<std::string> pks;
-  AX_ASSIGN_OR_RETURN(auto it, it_tree->second->NewIterator());
-  AX_RETURN_NOT_OK(it.Seek(lo_key));
-  while (it.Valid() && it.key() <= hi_bound) {
+  AX_ASSIGN_OR_RETURN(auto it, it_tree->second->NewIterator(
+                                   std::move(lo_key), std::move(hi_bound)));
+  AX_RETURN_NOT_OK(it.SeekToFirst());
+  while (it.Valid()) {
     // Composite key: secondary part then pk part; decode to split.
     size_t pos = 0;
     AX_ASSIGN_OR_RETURN(Value sk, adm::DecodeKeyPart(it.key(), &pos));

@@ -58,8 +58,10 @@ class DatasetPartition {
   Result<bool> GetByEncodedPk(const std::string& pk_key,
                               adm::Value* record) const;
 
-  /// Snapshot scan over the partition's records.
-  Result<storage::LsmBTree::Iterator> ScanIterator() const;
+  /// Snapshot scan over the partition's records with encoded primary keys
+  /// in [lo, hi] (unset `hi` = open; see LsmBTree::NewIterator).
+  Result<storage::LsmBTree::Iterator> ScanIterator(
+      std::string lo = {}, std::optional<std::string> hi = {}) const;
 
   // ---- secondary index searches (return encoded PKs) -----------------------
   /// B+tree range [lo, hi] (unknown bound = open). Values are raw field

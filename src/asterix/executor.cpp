@@ -103,17 +103,18 @@ class IndexSearchSource : public hyracks::TupleStream {
         return Status::OK();
       }
       case AccessPathKind::kPrimaryRange: {
-        AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
-        std::string lo_key = adm::MinKey();
+        std::string lo_key;
         if (!lo.is_unknown()) {
           AX_ASSIGN_OR_RETURN(lo_key, adm::EncodeKey(lo));
         }
-        std::string hi_key = adm::MaxKey();
+        std::optional<std::string> hi_key;
         if (!hi.is_unknown()) {
           AX_ASSIGN_OR_RETURN(hi_key, adm::EncodeKey(hi));
         }
-        AX_RETURN_NOT_OK(it.Seek(lo_key));
-        while (it.Valid() && it.key() <= hi_key) {
+        AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator(std::move(lo_key),
+                                                         std::move(hi_key)));
+        AX_RETURN_NOT_OK(it.SeekToFirst());
+        while (it.Valid()) {
           AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it.value()));
           Tuple t;
           t.fields.push_back(std::move(record));

@@ -226,10 +226,15 @@ Result<LsmBTree::Payload> LsmBTree::BuildFlush(const std::string& base,
 
 struct LsmBTree::Iterator::Source {
   int rank = 0;  // lower = newer
-  // Memory snapshot source:
-  std::vector<std::pair<std::string, MemEntry>> snapshot;
+  // Memory source: the iterator's own copy of the mutable component's
+  // in-range entries (a sorted vector: cheaper to build under the lock
+  // than a map), or an immutable memory component read in place (frozen
+  // at rotation, kept alive by this pin).
+  bool is_copy = false;
+  std::vector<std::pair<std::string, MemEntry>> copy;
   size_t idx = 0;
-  bool is_mem = false;
+  Life::FrozenPtr frozen;
+  Mem::const_iterator pos;
   // Disk source (row component):
   ComponentPtr comp;
   std::unique_ptr<BTree::Iterator> disk;
@@ -240,22 +245,26 @@ struct LsmBTree::Iterator::Source {
   uint64_t row = 0;
 
   bool valid() const {
-    if (is_mem) return idx < snapshot.size();
+    if (is_copy) return idx < copy.size();
+    if (frozen) return pos != frozen->mem.end();
     if (is_col) return row < comp->col->row_count();
     return disk && disk->Valid();
   }
   const std::string& key() const {
-    if (is_mem) return snapshot[idx].first;
+    if (is_copy) return copy[idx].first;
+    if (frozen) return pos->first;
     if (is_col) return comp->col->key(row);
     return disk->key();
   }
   bool antimatter() const {
-    if (is_mem) return snapshot[idx].second.antimatter;
+    if (is_copy) return copy[idx].second.antimatter;
+    if (frozen) return pos->second.antimatter;
     if (is_col) return comp->col->antimatter(row);
     return !disk->value().empty() && disk->value()[0] == kAntimatter;
   }
   Result<std::string> value() const {
-    if (is_mem) return snapshot[idx].second.value;
+    if (is_copy) return copy[idx].second.value;
+    if (frozen) return pos->second.value;
     if (is_col) {
       AX_ASSIGN_OR_RETURN(adm::Value record, comp->col->MaterializeRow(cols, row));
       return adm::Serialize(record);
@@ -263,8 +272,12 @@ struct LsmBTree::Iterator::Source {
     return DecodeDiskEntry(disk->value());
   }
   Status Next() {
-    if (is_mem) {
+    if (is_copy) {
       idx++;
+      return Status::OK();
+    }
+    if (frozen) {
+      ++pos;
       return Status::OK();
     }
     if (is_col) {
@@ -274,13 +287,17 @@ struct LsmBTree::Iterator::Source {
     return disk->Next();
   }
   Status Seek(const std::string& k) {
-    if (is_mem) {
+    if (is_copy) {
       idx = static_cast<size_t>(
-          std::lower_bound(snapshot.begin(), snapshot.end(), k,
+          std::lower_bound(copy.begin(), copy.end(), k,
                            [](const auto& a, const std::string& b) {
                              return a.first < b;
                            }) -
-          snapshot.begin());
+          copy.begin());
+      return Status::OK();
+    }
+    if (frozen) {
+      pos = frozen->mem.lower_bound(k);
       return Status::OK();
     }
     if (is_col) {
@@ -289,18 +306,14 @@ struct LsmBTree::Iterator::Source {
     }
     return disk->Seek(k);
   }
-  Status SeekToFirst() {
-    if (is_mem) {
-      idx = 0;
-      return Status::OK();
-    }
-    if (is_col) {
-      row = 0;
-      return Status::OK();
-    }
-    return disk->SeekToFirst();
-  }
 
+  static std::unique_ptr<Source> ForFrozen(Life::FrozenPtr mem, int rank) {
+    auto src = std::make_unique<Source>();
+    src->rank = rank;
+    src->frozen = std::move(mem);
+    src->pos = src->frozen->mem.begin();
+    return src;
+  }
   static Result<std::unique_ptr<Source>> ForComponent(ComponentPtr c,
                                                       int rank) {
     auto src = std::make_unique<Source>();
@@ -317,22 +330,21 @@ struct LsmBTree::Iterator::Source {
   }
 };
 
-LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources)
-    : sources_(std::move(sources)) {}
+LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources,
+                             std::string lo, std::optional<std::string> hi)
+    : sources_(std::move(sources)), lo_(std::move(lo)), hi_(std::move(hi)) {}
 LsmBTree::Iterator::Iterator(Iterator&&) noexcept = default;
 LsmBTree::Iterator& LsmBTree::Iterator::operator=(Iterator&&) noexcept =
     default;
 LsmBTree::Iterator::~Iterator() = default;
 
 Status LsmBTree::Iterator::Seek(const std::string& key) {
-  for (auto& s : sources_) AX_RETURN_NOT_OK(s->Seek(key));
+  const std::string& from = key < lo_ ? lo_ : key;
+  for (auto& s : sources_) AX_RETURN_NOT_OK(s->Seek(from));
   return Advance();
 }
 
-Status LsmBTree::Iterator::SeekToFirst() {
-  for (auto& s : sources_) AX_RETURN_NOT_OK(s->SeekToFirst());
-  return Advance();
-}
+Status LsmBTree::Iterator::SeekToFirst() { return Seek(lo_); }
 
 Status LsmBTree::Iterator::Next() { return Advance(); }
 
@@ -351,7 +363,8 @@ Status LsmBTree::Iterator::Advance() {
         winner = s.get();
       }
     }
-    if (winner == nullptr) return Status::OK();  // exhausted
+    // Exhausted, or past the end of the range.
+    if (winner == nullptr || (hi_ && *min_key > *hi_)) return Status::OK();
     std::string k = *min_key;
     bool anti = winner->antimatter();
     std::string v;
@@ -384,7 +397,7 @@ Result<LsmBTree::Payload> LsmBTree::BuildMerge(
     AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
     sources.push_back(std::move(src));
   }
-  Iterator it(std::move(sources));
+  Iterator it(std::move(sources), {}, {});
   it.keep_antimatter_ = !includes_oldest;
   std::vector<SnapshotEntry> rows;
   AX_RETURN_NOT_OK(it.SeekToFirst());
@@ -396,51 +409,79 @@ Result<LsmBTree::Payload> LsmBTree::BuildMerge(
   return WriteComponent(base, rows);
 }
 
-Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
-  std::vector<std::unique_ptr<Iterator::Source>> sources;
-  auto mem_src = std::make_unique<Iterator::Source>();
-  mem_src->is_mem = true;
+Result<LsmBTree::Iterator> LsmBTree::NewIterator(
+    std::string lo, std::optional<std::string> hi) const {
+  // Only the mutable memory component changes under us: copy its in-range
+  // entries under the lock. Everything else is frozen and read in place.
+  auto mutable_src = std::make_unique<Iterator::Source>();
+  mutable_src->is_copy = true;
   Life::View view;
   life_.Pin(
       [&](const Mem& mem) {
-        mem_src->snapshot.assign(mem.begin(), mem.end());
+        if (!hi || lo <= *hi) {
+          mutable_src->copy.assign(mem.lower_bound(lo),
+                                   hi ? mem.upper_bound(*hi) : mem.end());
+        }
         return false;
       },
       &view);
-  sources.push_back(std::move(mem_src));
+  std::vector<std::unique_ptr<Iterator::Source>> sources;
+  sources.push_back(std::move(mutable_src));
   int rank = 1;
   for (const auto& imm : view.immutables) {  // newest first
-    auto src = std::make_unique<Iterator::Source>();
-    src->is_mem = true;
-    src->rank = rank++;
-    src->snapshot.assign(imm->mem.begin(), imm->mem.end());
-    sources.push_back(std::move(src));
+    sources.push_back(Iterator::Source::ForFrozen(imm, rank++));
   }
   for (const auto& comp : view.components) {
     AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
     sources.push_back(std::move(src));
   }
-  return Iterator(std::move(sources));
+  return Iterator(std::move(sources), std::move(lo), std::move(hi));
 }
 
 LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
   ScanSnapshot snap;
-  Mem merged;
   Life::View view;
   life_.Pin(
       [&](const Mem& mem) {
-        merged = mem;
+        snap.mem.reserve(mem.size());
+        for (const auto& [key, entry] : mem) {
+          snap.mem.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
+        }
         return false;
       },
       &view);
-  // Fold immutable memory components under the mutable one, newest wins
-  // (map::insert keeps the existing — newer — entry on key collision).
-  for (const auto& imm : view.immutables) {
-    merged.insert(imm->mem.begin(), imm->mem.end());
-  }
-  snap.mem.reserve(merged.size());
-  for (const auto& [key, entry] : merged) {
-    snap.mem.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
+  if (!view.immutables.empty()) {
+    // Merge the immutable memory components (frozen, read in place) under
+    // the mutable entries in one pass; on equal keys the newest wins.
+    std::vector<SnapshotEntry> newest = std::move(snap.mem);
+    snap.mem.clear();
+    std::vector<Mem::const_iterator> pos;
+    for (const auto& imm : view.immutables) pos.push_back(imm->mem.begin());
+    auto at_end = [&](size_t i) {
+      return pos[i] == view.immutables[i]->mem.end();
+    };
+    size_t next = 0;  // into `newest`
+    while (true) {
+      const std::string* key =
+          next < newest.size() ? &newest[next].key : nullptr;
+      size_t winner = pos.size();  // pos.size() = the mutable entries
+      for (size_t i = 0; i < pos.size(); i++) {
+        if (!at_end(i) && (key == nullptr || pos[i]->first < *key)) {
+          key = &pos[i]->first;
+          winner = i;
+        }
+      }
+      if (key == nullptr) break;
+      SnapshotEntry row =
+          winner == pos.size()
+              ? std::move(newest[next++])
+              : SnapshotEntry{pos[winner]->first, pos[winner]->second.antimatter,
+                              pos[winner]->second.value};
+      for (size_t i = 0; i < pos.size(); i++) {
+        if (!at_end(i) && pos[i]->first == row.key) ++pos[i];
+      }
+      snap.mem.push_back(std::move(row));
+    }
   }
   for (const auto& comp : view.components) {
     ComponentRef ref;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,8 +105,7 @@ class LsmBTree {
   LsmStats stats() const;
 
   /// Snapshot iterator over the merged view (newest version per key,
-  /// antimatter suppressed). The snapshot is stable: flushes/merges after
-  /// creation do not affect it.
+  /// antimatter suppressed), limited to the key range of NewIterator.
   class Iterator {
    public:
     Status Seek(const std::string& key);
@@ -118,9 +118,12 @@ class LsmBTree {
    private:
     friend class LsmBTree;
     struct Source;
-    explicit Iterator(std::vector<std::unique_ptr<Source>> sources);
+    Iterator(std::vector<std::unique_ptr<Source>> sources, std::string lo,
+             std::optional<std::string> hi);
     Status Advance();
     std::vector<std::unique_ptr<Source>> sources_;
+    std::string lo_;                 // Seek never goes below it
+    std::optional<std::string> hi_;  // !Valid() past it; unset = no bound
     bool keep_antimatter_ = false;  // merges: yield deleted keys too
     bool valid_ = false;
     bool antimatter_ = false;
@@ -132,7 +135,18 @@ class LsmBTree {
     ~Iterator();
   };
 
-  Result<Iterator> NewIterator() const;
+  /// Iterator over the keys in [lo, hi] (`hi` unset: no upper bound), so
+  /// NewIterator() covers the whole tree. Seek below `lo` lands on `lo`;
+  /// the iterator turns !Valid() once past `hi`, so callers need no bound
+  /// check of their own.
+  ///
+  /// What it pins and copies: the in-range entries of the mutable memory
+  /// component are copied under the lifecycle lock (O(log n + k)); the
+  /// immutable memory components (frozen at rotation) and the disk
+  /// components are pinned by reference and read in place. The view is a
+  /// snapshot: writes, flushes and merges after creation do not affect it.
+  Result<Iterator> NewIterator(std::string lo = {},
+                               std::optional<std::string> hi = {}) const;
 
   /// One fully materialized LSM row (used by scan snapshots and the
   /// component writers' buffered input).

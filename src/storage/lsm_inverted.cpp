@@ -74,17 +74,19 @@ Status LsmInvertedIndex::RemoveText(const std::string& text,
 
 Result<std::vector<std::string>> LsmInvertedIndex::Search(
     const std::string& term) const {
-  AX_ASSIGN_OR_RETURN(std::string lo, adm::EncodeKey(adm::Value::String(term)));
+  // Every posting of `term` starts with the term's encoding, and the
+  // encoding's terminator keeps a longer term ("database") out of the
+  // range of its prefix ("data"). The payload part after it starts with a
+  // class byte below 0xff.
+  AX_ASSIGN_OR_RETURN(std::string prefix,
+                      adm::EncodeKey(adm::Value::String(term)));
+  AX_ASSIGN_OR_RETURN(auto it, tree_->NewIterator(prefix, prefix + '\xff'));
   std::vector<std::string> out;
-  AX_ASSIGN_OR_RETURN(auto it, tree_->NewIterator());
-  AX_RETURN_NOT_OK(it.Seek(lo));
+  AX_RETURN_NOT_OK(it.SeekToFirst());
   while (it.Valid()) {
-    if (it.key().compare(0, lo.size(), lo) != 0) break;
-    AX_ASSIGN_OR_RETURN(auto parts, adm::DecodeKey(it.key()));
-    if (parts.size() == 2 && parts[0].is_string() &&
-        parts[0].AsString() == term && parts[1].is_string()) {
-      out.push_back(parts[1].AsString());
-    }
+    size_t pos = prefix.size();
+    AX_ASSIGN_OR_RETURN(adm::Value payload, adm::DecodeKeyPart(it.key(), &pos));
+    if (payload.is_string()) out.push_back(payload.AsString());
     AX_RETURN_NOT_OK(it.Next());
   }
   return out;

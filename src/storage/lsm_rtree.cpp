@@ -1,6 +1,7 @@
 #include "storage/lsm_rtree.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/io.h"
 #include "common/metrics.h"
@@ -37,6 +38,15 @@ std::string LsmRTree::DeleteKey(const adm::Rectangle& mbr,
   key.append(reinterpret_cast<const char*>(&mbr.hi.y), 8);
   key += payload;
   return key;
+}
+
+adm::Rectangle LsmRTree::DeleteKeyMbr(const std::string& delete_key) {
+  adm::Rectangle mbr;
+  std::memcpy(&mbr.lo.x, delete_key.data(), 8);
+  std::memcpy(&mbr.lo.y, delete_key.data() + 8, 8);
+  std::memcpy(&mbr.hi.x, delete_key.data() + 16, 8);
+  std::memcpy(&mbr.hi.y, delete_key.data() + 24, 8);
+  return mbr;
 }
 
 Result<std::unique_ptr<LsmRTree>> LsmRTree::Open(
@@ -94,6 +104,8 @@ Status LsmRTree::Remove(const adm::Rectangle& mbr, const std::string& payload) {
 Result<std::vector<SpatialEntry>> LsmRTree::Query(
     const adm::Rectangle& query) const {
   std::vector<SpatialEntry> out;
+  // Only deletes whose MBR intersects the query can hide a candidate (a
+  // delete names one entry, MBR included), so only those are copied.
   std::set<std::string> mem_deleted;
   Life::View view;
   life_.Pin(
@@ -101,7 +113,11 @@ Result<std::vector<SpatialEntry>> LsmRTree::Query(
         for (const auto& e : mem.inserts) {
           if (e.mbr.Intersects(query)) out.push_back(e);
         }
-        mem_deleted = mem.deleted;
+        for (const auto& dk : mem.deleted) {
+          if (DeleteKeyMbr(dk).Intersects(query)) {
+            mem_deleted.insert(mem_deleted.end(), dk);
+          }
+        }
         return false;
       },
       &view);

@@ -103,6 +103,8 @@ class LsmRTree {
                                  const std::set<std::string>& deleted) const;
   static std::string DeleteKey(const adm::Rectangle& mbr,
                                const std::string& payload);
+  /// The MBR a DeleteKey() names (its first 32 bytes).
+  static adm::Rectangle DeleteKeyMbr(const std::string& delete_key);
 
   const LsmRTreeOptions options_;
   Life life_;  // declared last: destroyed first, after maintenance drains

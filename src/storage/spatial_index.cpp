@@ -94,11 +94,12 @@ class BTreeBackedSpatialIndex : public SpatialIndex {
       AX_ASSIGN_OR_RETURN(
           std::string hi_key,
           adm::EncodeKey(adm::Value::Int(static_cast<int64_t>(hi))));
-      // hi bound: first key strictly greater than every (hi, *) composite.
-      std::string hi_bound = hi_key + std::string(1, '\xff');
-      AX_ASSIGN_OR_RETURN(auto it, tree_->NewIterator());
-      AX_RETURN_NOT_OK(it.Seek(lo_key));
-      while (it.Valid() && it.key() <= hi_bound) {
+      // One bounded iterator per linear range; `hi_key` + 0xff includes
+      // every (hi, payload) composite.
+      AX_ASSIGN_OR_RETURN(auto it, tree_->NewIterator(std::move(lo_key),
+                                                      hi_key + '\xff'));
+      AX_RETURN_NOT_OK(it.SeekToFirst());
+      while (it.Valid()) {
         const std::string& v = it.value();
         if (v.size() == 16) {
           adm::Point pt;

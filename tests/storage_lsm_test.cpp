@@ -1,10 +1,15 @@
 // Tests for the LSM B+tree: memory/disk components, flush, antimatter
-// deletes, merged iteration, merge policies, and crash-free reopen.
+// deletes, merged and range-bounded iteration, merge policies, and
+// crash-free reopen.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <optional>
 
 #include "adm/key_encoder.h"
+#include "common/rng.h"
+#include "scheduler_gate.h"
 #include "storage/lsm_btree.h"
 #include "storage/maintenance.h"
 
@@ -309,6 +314,201 @@ TEST_F(LsmTest, SeekWithinMergedView) {
   parts = adm::DecodeKey(it.key()).value();
   EXPECT_EQ(parts[0].AsInt(), 38);
   EXPECT_EQ(it.value(), "even");
+}
+
+// ---- Range-bounded iterators ------------------------------------------------
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+// Everything a [lo, hi] iterator yields from SeekToFirst.
+Rows ReadRange(const LsmBTree& tree, const std::string& lo,
+               const std::optional<std::string>& hi) {
+  Rows rows;
+  auto it = tree.NewIterator(lo, hi);
+  EXPECT_TRUE(it.ok());
+  if (!it.ok()) return rows;
+  Status s = it->SeekToFirst();
+  while (s.ok() && it->Valid()) {
+    rows.emplace_back(it->key(), it->value());
+    s = it->Next();
+  }
+  EXPECT_TRUE(s.ok()) << s.message();
+  return rows;
+}
+
+Rows Filter(const Rows& rows, const std::string& lo,
+            const std::optional<std::string>& hi) {
+  Rows out;
+  for (const auto& row : rows) {
+    if (row.first >= lo && (!hi || row.first <= *hi)) out.push_back(row);
+  }
+  return out;
+}
+
+TEST_F(LsmTest, BoundedIteratorMatchesFilteredFullScan) {
+  for (uint64_t seed = 1; seed <= 3; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LsmOptions o = Options(1 << 12);
+    o.dir = dir_ + "/seed" + std::to_string(seed);
+    o.merge_policy.kind = MergePolicyKind::kNoMerge;
+    o.max_pending_immutables = 4;
+    SchedulerGate gate;  // background flushes wait: immutables stay pending
+    o.scheduler = gate.scheduler();
+    auto tree = LsmBTree::Open(o).value();
+
+    // Random puts and deletes over the even keys 0..398.
+    Rng rng(seed);
+    std::map<std::string, std::string> model;
+    // Newest version per key written since the last flush (antimatter,
+    // value): what the memory components hold.
+    std::map<std::string, std::pair<bool, std::string>> mem_model;
+    auto put = [&](const std::string& key) {
+      std::string value = "v" + std::to_string(rng.Next() % 1000);
+      ASSERT_TRUE(tree->Put(key, value).ok());
+      model[key] = value;
+      mem_model[key] = {false, value};
+    };
+    auto del = [&](const std::string& key) {
+      ASSERT_TRUE(tree->Delete(key).ok());
+      model.erase(key);
+      mem_model[key] = {true, ""};
+    };
+    auto random_op = [&] {
+      std::string key = IntKey(2 * rng.UniformRange(0, 199));
+      if (rng.Uniform(4) == 0) {
+        del(key);
+      } else {
+        put(key);
+      }
+    };
+
+    // Disk components. The bound keys 100, 200 and 300 are live here ...
+    for (int round = 0; round < 2; round++) {
+      for (int i = 0; i < 150; i++) random_op();
+      for (int k : {100, 200, 300}) put(IntKey(k));
+      ASSERT_TRUE(tree->Flush().ok());
+    }
+    mem_model.clear();
+    // ... and deleted in newer components: 200 in an immutable one,
+    del(IntKey(200));
+    while (tree->stats().pending_immutables < 2) random_op();
+    // 100 and 300 in the mutable one.
+    for (int i = 0; i < 20; i++) random_op();
+    del(IntKey(100));
+    del(IntKey(300));
+    auto stats = tree->stats();
+    ASSERT_EQ(stats.pending_immutables, 2u);
+    ASSERT_GE(stats.disk_components, 2u);
+    ASSERT_GT(stats.mem_entries, 0u);
+
+    const Rows full = ReadRange(*tree, "", std::nullopt);
+    EXPECT_EQ(full, Rows(model.begin(), model.end()));
+    // Bounds on keys, between keys (odd), on antimatter, outside all keys.
+    std::vector<std::string> bounds;
+    for (int k : {-7, 0, 99, 100, 200, 201, 300, 398, 1001}) {
+      bounds.push_back(IntKey(k));
+    }
+    std::vector<std::string> los = bounds;
+    los.push_back("");
+    std::vector<std::optional<std::string>> his(bounds.begin(), bounds.end());
+    his.push_back(std::nullopt);
+    for (const auto& lo : los) {
+      for (const auto& hi : his) {
+        EXPECT_EQ(ReadRange(*tree, lo, hi), Filter(full, lo, hi));
+      }
+    }
+
+    // The scan snapshot merges the same memory components into one sorted
+    // run, newest version per key, antimatter kept.
+    auto snap = tree->GetScanSnapshot();
+    std::map<std::string, std::pair<bool, std::string>> snap_mem;
+    std::string prev;
+    for (const auto& e : snap.mem) {
+      EXPECT_LT(prev, e.key);
+      prev = e.key;
+      snap_mem[e.key] = {e.antimatter, e.value};
+    }
+    EXPECT_EQ(snap_mem, mem_model);
+    EXPECT_EQ(snap.components.size(), stats.disk_components);
+
+    // Seek clamps to lo and stops past hi.
+    auto it = tree->NewIterator(IntKey(100), IntKey(300)).value();
+    ASSERT_TRUE(it.Seek(IntKey(-7)).ok());
+    Rows in_range = Filter(full, IntKey(100), IntKey(300));
+    ASSERT_FALSE(in_range.empty());
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.key(), in_range.front().first);
+    ASSERT_TRUE(it.Seek(IntKey(301)).ok());
+    EXPECT_FALSE(it.Valid());
+    gate.Release();
+  }
+}
+
+TEST_F(LsmTest, BoundedIteratorIgnoresLaterWritesFlushesAndMerges) {
+  auto tree = LsmBTree::Open(Options()).value();
+  for (int i = 0; i < 100; i += 2) ASSERT_TRUE(tree->Put(IntKey(i), "old").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  for (int i = 100; i < 200; i += 2) {
+    ASSERT_TRUE(tree->Put(IntKey(i), "old").ok());  // mutable component
+  }
+  auto it = tree->NewIterator(IntKey(50), IntKey(150)).value();
+
+  // Inside the range: new keys, overwrites and deletes on disk and in
+  // memory; then everything is flushed and merged into one component.
+  for (int i = 51; i < 150; i += 2) ASSERT_TRUE(tree->Put(IntKey(i), "new").ok());
+  for (int k : {60, 120}) ASSERT_TRUE(tree->Put(IntKey(k), "new").ok());
+  for (int k : {70, 130}) ASSERT_TRUE(tree->Delete(IntKey(k)).ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  int expect = 50;
+  while (it.Valid()) {
+    EXPECT_EQ(it.key(), IntKey(expect));
+    EXPECT_EQ(it.value(), "old");
+    expect += 2;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  EXPECT_EQ(expect, 152);  // 50, 52, ..., 150 and nothing else
+  // A fresh iterator over the same range sees the writes.
+  EXPECT_EQ(ReadRange(*tree, IntKey(50), IntKey(150)).size(), 51u + 50u - 2u);
+}
+
+TEST_F(LsmTest, ImmutableSourceOutlivesItsFlush) {
+  SchedulerGate gate;
+  LsmOptions o = Options(1 << 12);
+  o.scheduler = gate.scheduler();
+  auto tree = LsmBTree::Open(o).value();
+  int n = 0;
+  while (tree->stats().pending_immutables < 1) {
+    ASSERT_TRUE(tree->Put(IntKey(n), "v" + std::to_string(n)).ok());
+    n++;
+  }
+  // Every entry sits in the one immutable component, read in place.
+  ASSERT_EQ(tree->stats().disk_components, 0u);
+  auto it = tree->NewIterator(IntKey(0), IntKey(n)).value();
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  int i = 0;
+  for (; i < n / 2; i++) {
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.value(), "v" + std::to_string(i));
+    ASSERT_TRUE(it.Next().ok());
+  }
+  // The flush pops the component from the queue; the iterator's pin keeps
+  // it readable, and writes after creation stay invisible.
+  gate.Release();
+  ASSERT_TRUE(tree->Flush().ok());
+  for (int k = 0; k < n; k++) ASSERT_TRUE(tree->Put(IntKey(k), "later").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  EXPECT_EQ(tree->stats().pending_immutables, 0u);
+  for (; it.Valid(); i++) {
+    EXPECT_EQ(it.key(), IntKey(i));
+    EXPECT_EQ(it.value(), "v" + std::to_string(i));
+    ASSERT_TRUE(it.Next().ok());
+  }
+  EXPECT_EQ(i, n);
 }
 
 // Property sweep over merge policies: contents identical regardless.

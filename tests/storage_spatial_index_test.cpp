@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "scheduler_gate.h"
 #include "storage/lsm_rtree.h"
 #include "storage/maintenance.h"
 #include "storage/spatial_curve.h"
@@ -212,6 +214,113 @@ TEST_F(SpatialIndexTest, LsmRTreeDropsTornFlushOnReopen) {
   auto hits = tree->Query({{0, 0}, {10, 10}}).value();
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].payload, "complete");
+}
+
+TEST_F(SpatialIndexTest, LsmRTreeRemoveHidesEntryInEveryLayer) {
+  SchedulerGate gate;  // background flushes wait: the immutable stays
+  LsmRTreeOptions o;
+  o.dir = dir_;
+  o.name = "rt";
+  o.cache = cache_.get();
+  o.mem_budget_bytes = 1 << 12;
+  o.scheduler = gate.scheduler();
+  auto tree = LsmRTree::Open(o).value();
+  adm::Point a{1, 1}, b{2, 2}, c{3, 3}, d{4, 4};
+  ASSERT_TRUE(tree->Insert({a, a}, "a").ok());
+  ASSERT_TRUE(tree->Insert({b, b}, "b").ok());
+  ASSERT_TRUE(tree->Insert({c, c}, "c").ok());
+  ASSERT_TRUE(tree->Insert({d, d}, "d").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  // a's remove goes to disk, b's to an immutable component, c's stays in
+  // the mutable one. A remove far outside the query names another entry
+  // with d's payload; it must not hide d.
+  ASSERT_TRUE(tree->Remove({a, a}, "a").ok());
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->Remove({b, b}, "b").ok());
+  for (int i = 0; tree->stats().pending_immutables < 1; i++) {
+    adm::Point pad{500.0 + i % 100, 500.0 + i / 100};
+    ASSERT_TRUE(tree->Insert({pad, pad}, "pad" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(tree->Remove({c, c}, "c").ok());
+  adm::Point far{900, 900};
+  ASSERT_TRUE(tree->Remove({far, far}, "d").ok());
+  ASSERT_EQ(tree->stats().disk_components, 2u);
+  ASSERT_EQ(tree->stats().pending_immutables, 1u);
+
+  const adm::Rectangle query{{0, 0}, {10, 10}};
+  auto payloads = [&] {
+    auto entries = tree->Query(query).value();
+    std::set<std::string> out;
+    for (auto& e : entries) out.insert(e.payload);
+    return out;
+  };
+  const std::set<std::string> expect{"d"};
+  EXPECT_EQ(payloads(), expect);
+  gate.Release();
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(payloads(), expect);
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  EXPECT_EQ(payloads(), expect);
+}
+
+TEST_F(SpatialIndexTest, CurveQueriesSpanMemoryAndDiskComponents) {
+  for (auto kind :
+       {SpatialIndexKind::kHilbertBTree, SpatialIndexKind::kZOrderBTree}) {
+    SCOPED_TRACE(SpatialIndexKindName(kind));
+    SchedulerGate gate;  // background flushes wait: immutables stay
+    SpatialIndexOptions o = Options(kind, SpatialIndexKindName(kind));
+    o.scheduler = gate.scheduler();
+    auto idx = SpatialIndex::Create(o).value();
+    Rng rng(7);
+    std::map<std::string, adm::Point> live;
+    int next = 0;
+    auto insert = [&] {
+      adm::Point p{rng.NextDouble() * 1000, rng.NextDouble() * 1000};
+      std::string pk = "pk" + std::to_string(next++);
+      ASSERT_TRUE(idx->Insert(p, pk).ok());
+      live[pk] = p;
+    };
+    auto remove_some = [&](int n) {
+      for (int i = 0; i < n && !live.empty(); i++) {
+        auto victim = live.begin();
+        std::advance(victim, static_cast<long>(rng.Uniform(live.size())));
+        ASSERT_TRUE(idx->Remove(victim->second, victim->first).ok());
+        live.erase(victim);
+      }
+    };
+    // Disk components: rounds well under the memory budget, each flushed.
+    for (int round = 0; round < 4; round++) {
+      for (int i = 0; i < 100; i++) insert();
+      remove_some(10);
+      ASSERT_TRUE(idx->Flush().ok());
+    }
+    ASSERT_GE(idx->stats().disk_components, 4u);
+    // Memory: more than one budget's worth (one rotation, so an immutable
+    // and the mutable component), with removes of disk-resident points.
+    for (int i = 0; i < 300; i++) insert();
+    remove_some(40);
+
+    auto check = [&](const char* phase) {
+      Rng qrng(11);
+      for (int q = 0; q < 20; q++) {
+        double x = qrng.NextDouble() * 800, y = qrng.NextDouble() * 800;
+        double w = 20 + qrng.NextDouble() * 200;
+        adm::Rectangle query{{x, y}, {x + w, y + w}};
+        std::set<std::string> expect;
+        for (const auto& [pk, p] : live) {
+          if (query.Contains(p)) expect.insert(pk);
+        }
+        auto got_vec = idx->Query(query).value();
+        std::set<std::string> got(got_vec.begin(), got_vec.end());
+        EXPECT_EQ(got, expect) << phase << " query " << q;
+        EXPECT_EQ(got_vec.size(), got.size()) << "duplicates returned";
+      }
+    };
+    check("memory and disk");
+    gate.Release();
+    ASSERT_TRUE(idx->ForceFullMerge().ok());
+    check("merged");
+  }
 }
 
 // All four spatial index kinds agree with brute force — the precondition
